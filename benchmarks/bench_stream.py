@@ -15,6 +15,12 @@ Three measurements, all seeded:
   deployment, with a rolling population at least 10x the active set so
   the run proves memory is bounded by the *active* set: the arrival
   stream is far larger than anything resident.
+* **BS-count sweep** — one fixed tape replayed on 25, 250 and 2,500
+  BSs at equal density (the 300 m grid).  Per-event work — Eq. 17 slack
+  terms plus ledger lookups, counted, not timed — must stay within
+  ``SWEEP_MAX_WORK_GROWTH`` of the 25-BS figure, and events/s on 2,500
+  BSs must reach ``SWEEP_MIN_RATE_RATIO`` of events/s on 25 BSs: a
+  flush costs O(changed neighbourhood), not O(#BS).
 
 Emits ``BENCH_pr7.json`` at the repo root and exits non-zero when:
 
@@ -23,7 +29,9 @@ Emits ``BENCH_pr7.json`` at the repo root and exits non-zero when:
   events per wall second (default 400);
 * peak RSS exceeds ``BENCH_STREAM_MAX_RSS_MB`` (default 768);
 * the rolling population is less than 10x the peak active set (the
-  scenario would not be probing memory boundedness).
+  scenario would not be probing memory boundedness);
+* the BS-count sweep's work counters or events/s ratio leave their
+  bounds.
 
 Knobs: ``BENCH_STREAM_RATE`` (arrivals/s, default 40),
 ``BENCH_STREAM_HORIZON_S`` (default 600), ``BENCH_STREAM_HOLDING_S``
@@ -38,6 +46,7 @@ import json
 import os
 import resource
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 # Runnable straight from a checkout without an editable install.
@@ -45,6 +54,8 @@ _SRC = str(Path(__file__).resolve().parent.parent / "src")
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
+import repro.core.dmra as dmra_mod
+from repro.compute.cru import LedgerPool
 from repro.dynamics.arrivals import ExponentialHolding, PoissonArrivals
 from repro.obs import build_manifest, metrics_from_stream
 from repro.obs.diff import diff_documents
@@ -66,6 +77,34 @@ GATE_CONFIG = ScenarioConfig(
     cru_capacity_min=20,
     cru_capacity_max=20,
 )
+
+
+#: BS-count sweep deployments: 5x5, 16x16 and 50x50 grids at the 300 m
+#: inter-site distance, in regions just covering them (equal density).
+SWEEP_CONFIGS = (
+    ScenarioConfig.paper(),
+    ScenarioConfig.paper(region_side_m=4800.0, bs_per_sp=50),
+    ScenarioConfig.paper(region_side_m=15000.0, bs_per_sp=500),
+)
+
+#: The sweep's fixed tape: the streaming headline's churn, 60 s long.
+SWEEP_STREAM = StreamConfig(
+    horizon_s=60.0,
+    arrivals=PoissonArrivals(rate_per_s=40.0),
+    holding=ExponentialHolding(mean_s=12.0),
+    move_fraction=0.05,
+)
+
+#: Per-event work on any deployment over the 25-BS figure, at most.
+SWEEP_MAX_WORK_GROWTH = 2.0
+
+#: Events/s on 2,500 BSs over events/s on 25 BSs, at least (0.8-0.95
+#: measured on a 2-core Xeon; 0.07 before Alg. 1 runs were scoped to
+#: their candidate BSs).
+SWEEP_MIN_RATE_RATIO = 0.5
+
+#: Timed replays per deployment; the best one counts.
+SWEEP_TIMED_REPEATS = 2
 
 
 def _env_int(name: str, default: int) -> int:
@@ -106,6 +145,88 @@ def _outcome_record(outcome) -> dict:
         "events_per_s": round(outcome.events_per_s, 1),
         "digest": outcome.digest,
     }
+
+
+@contextmanager
+def _work_counters():
+    """Count Eq. 17 slack terms and ledger lookups while active."""
+    counts = {"slack_terms": 0, "ledger_lookups": 0}
+    slack_term = dmra_mod.dmra_slack_term
+    ledger = LedgerPool.ledger
+
+    def counting_slack_term(*args, **kwargs):
+        counts["slack_terms"] += 1
+        return slack_term(*args, **kwargs)
+
+    def counting_ledger(self, bs_id):
+        counts["ledger_lookups"] += 1
+        return ledger(self, bs_id)
+
+    dmra_mod.dmra_slack_term = counting_slack_term
+    LedgerPool.ledger = counting_ledger
+    try:
+        yield counts
+    finally:
+        dmra_mod.dmra_slack_term = slack_term
+        LedgerPool.ledger = ledger
+
+
+def _bs_sweep(kernel: str, failures: list[str]) -> list[dict]:
+    """Replay the sweep tape on every sweep deployment and gate it."""
+    rows = []
+    for config in SWEEP_CONFIGS:
+        with _work_counters() as counts:
+            counted = run_stream(
+                config, SWEEP_STREAM, seed=SEED, kernel=kernel,
+                series_stride=16,
+            )
+        best = max(
+            run_stream(
+                config, SWEEP_STREAM, seed=SEED, kernel=kernel,
+                series_stride=16,
+            ).events_per_s
+            for _ in range(SWEEP_TIMED_REPEATS)
+        )
+        events = counted.events_processed
+        rows.append({
+            "bs": config.bs_count,
+            "events": events,
+            "admitted_edge": counted.admitted_edge,
+            "events_per_s": round(best, 1),
+            "slack_terms_per_event": round(counts["slack_terms"] / events, 2),
+            "ledger_lookups_per_event": round(
+                counts["ledger_lookups"] / events, 2
+            ),
+        })
+        print(
+            f"sweep  bs={config.bs_count}  events={events}  "
+            f"events/s={best:.0f}  "
+            f"slack/event={rows[-1]['slack_terms_per_event']}  "
+            f"ledger/event={rows[-1]['ledger_lookups_per_event']}"
+        )
+    base = rows[0]
+    for row in rows[1:]:
+        if row["events"] != base["events"]:
+            failures.append(
+                f"sweep: {row['bs']} BSs replayed {row['events']} events, "
+                f"{base['bs']} BSs {base['events']} — not one tape"
+            )
+        for name in ("slack_terms_per_event", "ledger_lookups_per_event"):
+            if row[name] > SWEEP_MAX_WORK_GROWTH * base[name]:
+                failures.append(
+                    f"sweep: {name} {row[name]} on {row['bs']} BSs > "
+                    f"{SWEEP_MAX_WORK_GROWTH:g}x {base[name]} on "
+                    f"{base['bs']} BSs"
+                )
+    ratio = rows[-1]["events_per_s"] / base["events_per_s"]
+    if ratio < SWEEP_MIN_RATE_RATIO:
+        failures.append(
+            f"sweep: events/s on {rows[-1]['bs']} BSs is {ratio:.2f}x "
+            f"the {base['bs']}-BS rate (< {SWEEP_MIN_RATE_RATIO:g}x floor)"
+        )
+    print(f"sweep  events/s ratio {rows[-1]['bs']}/{base['bs']} BSs = "
+          f"{ratio:.2f}")
+    return rows
 
 
 def main() -> int:
@@ -240,6 +361,9 @@ def main() -> int:
             f"peak active set (< 10x) — not probing memory boundedness"
         )
 
+    # --- BS-count sweep: cost tracks the neighbourhood, not #BS ------
+    sweep = _bs_sweep(kernel, failures)
+
     report_doc = {
         "bench": "stream",
         "seed": SEED,
@@ -255,6 +379,8 @@ def main() -> int:
             "min_events_per_s": min_events_per_s,
             "max_rss_mb": max_rss_mb,
             "min_rolling_over_active": 10.0,
+            "sweep_max_work_growth": SWEEP_MAX_WORK_GROWTH,
+            "sweep_min_rate_ratio": SWEEP_MIN_RATE_RATIO,
         },
         "gates": {
             "bit_exact": {
@@ -270,6 +396,7 @@ def main() -> int:
             },
         },
         "headline": headline,
+        "bs_sweep": sweep,
         "failures": failures,
     }
     OUTPUT.write_text(json.dumps(report_doc, indent=2) + "\n")

@@ -41,9 +41,9 @@ class DCSPPolicy(MatchingPolicy):
 
     # Engine hot-path hooks: the DCSP score is pure per-BS occupation —
     # nothing varies per UE — so the "static" part is zero and the whole
-    # score is one per-round table entry per BS (ledgers are frozen
-    # throughout a proposal phase).  ``0.0 + x == x`` keeps the cached
-    # path bit-identical to ue_score.
+    # score is one per-round table entry per candidate BS (ledgers are
+    # frozen throughout a proposal phase).  ``0.0 + x == x`` keeps the
+    # cached path bit-identical to ue_score.
 
     def static_ue_score(
         self, ue: UserEquipment, bs_id: int, ctx: MatchingContext
@@ -57,7 +57,10 @@ class DCSPPolicy(MatchingPolicy):
             cru_util, rrb_util = ledger.utilization()
             return (cru_util + rrb_util) / 2.0
 
-        by_bs = {ledger.bs_id: occupation(ledger) for ledger in ctx.ledgers}
+        ledger = ctx.ledgers.ledger
+        by_bs = {
+            bs_id: occupation(ledger(bs_id)) for bs_id in ctx.candidate_bs_ids
+        }
         # The score ignores the service, so every service shares one map.
         return {service_id: by_bs for service_id in service_ids}
 

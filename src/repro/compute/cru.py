@@ -172,6 +172,7 @@ class LedgerPool:
 
     def __init__(self, base_stations) -> None:
         self._ledgers = {bs.bs_id: BSLedger(bs) for bs in base_stations}
+        self._position = {bs_id: k for k, bs_id in enumerate(self._ledgers)}
 
     def ledger(self, bs_id: int) -> BSLedger:
         """The ledger of one base station."""
@@ -179,6 +180,10 @@ class LedgerPool:
             return self._ledgers[bs_id]
         except KeyError:
             raise UnknownEntityError(f"unknown BS id {bs_id}") from None
+
+    def position(self, bs_id: int) -> int:
+        """The ledger's index in pool (iteration) order."""
+        return self._position[bs_id]
 
     def __iter__(self):
         return iter(self._ledgers.values())

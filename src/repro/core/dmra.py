@@ -44,18 +44,19 @@ class DMRAPolicy(MatchingPolicy):
         self.pricing = pricing
         self.rho = rho
         self.same_sp_priority = same_sp_priority
-        # {bs_id: sp_id} for the most recent network seen, rebuilt on
-        # identity change (networks are immutable).  Saves a guarded
-        # dict lookup per (UE, BS) pair during cache builds.
+        # {bs_id: sp_id} for the most recent ``network.base_stations``
+        # tuple seen, rebuilt on identity change: batch and moved-UE
+        # networks share their template's tuple, so one deployment
+        # builds it once.  Saves a guarded dict lookup per (UE, BS) pair
+        # during cache builds.
         self._sp_of_bs: dict[int, int] = {}
-        self._sp_map_network: MECNetwork | None = None
+        self._sp_map_key: tuple | None = None
 
     def _bs_owner_map(self, network: MECNetwork) -> dict[int, int]:
-        if self._sp_map_network is not network:
-            self._sp_of_bs = {
-                bs.bs_id: bs.sp_id for bs in network.base_stations
-            }
-            self._sp_map_network = network
+        base_stations = network.base_stations
+        if self._sp_map_key is not base_stations:
+            self._sp_of_bs = {bs.bs_id: bs.sp_id for bs in base_stations}
+            self._sp_map_key = base_stations
         return self._sp_of_bs
 
     def ue_score(
@@ -67,7 +68,7 @@ class DMRAPolicy(MatchingPolicy):
     # Engine hot-path hooks: Eq. 17 splits into a static price term
     # (cached per (UE, BS) pair by the engine) and a slack term shared
     # by every UE of one service at one BS within a round (tabulated
-    # once per round, one entry per (service, BS)).
+    # once per round, one entry per (service, candidate BS)).
     # ------------------------------------------------------------------
 
     def static_ue_score(
@@ -98,10 +99,11 @@ class DMRAPolicy(MatchingPolicy):
         self, ctx: MatchingContext, service_ids: frozenset[int]
     ) -> dict[int, dict[int, float]] | None:
         rho = self.rho
+        bs_ids = ctx.candidate_bs_ids
         return {
             service_id: {
-                ledger.bs_id: dmra_slack_term(service_id, ledger.bs_id, ctx, rho)
-                for ledger in ctx.ledgers
+                bs_id: dmra_slack_term(service_id, bs_id, ctx, rho)
+                for bs_id in bs_ids
             }
             for service_id in service_ids
         }

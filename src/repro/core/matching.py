@@ -60,7 +60,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
-from repro.compute.cru import BSLedger, LedgerPool
+from repro.compute.cru import BSLedger, Grant, LedgerPool
 from repro.core.assignment import Assignment
 from repro.errors import AllocationError
 from repro.model.entities import UserEquipment
@@ -103,6 +103,8 @@ class MatchingContext:
 
     Policies read remaining resources and coverage facts from here when
     computing preference scores; they never mutate it.
+    ``candidate_bs_ids`` is the union of ``candidate_sets`` (ascending):
+    the only BSs a run can read or grant on.
     """
 
     network: MECNetwork
@@ -110,6 +112,7 @@ class MatchingContext:
     ledgers: LedgerPool
     candidate_sets: dict[int, list[int]] = field(default_factory=dict)
     f_u_snapshot: dict[int, int] = field(default_factory=dict)
+    candidate_bs_ids: tuple[int, ...] = ()
 
     def rrbs_required(self, ue_id: int, bs_id: int) -> int:
         """``n_{u,i}`` for a candidate link."""
@@ -220,8 +223,10 @@ class MatchingPolicy(ABC):
 
         *exactly* — the golden parity tests hold implementations to
         bit-identical assignments.  ``service_ids`` lists the services
-        of the UEs being matched; every ledgered BS must appear in each
-        inner mapping.
+        of the UEs being matched; every candidate BS of the run
+        (``ctx.candidate_bs_ids``) must appear in each inner mapping.
+        No other BS can be scored, so the table costs O(batch coverage),
+        not O(#BS).
         """
         return None
 
@@ -282,23 +287,27 @@ class _FeasibilityTracker:
 
     def __init__(self, ctx: MatchingContext, target_ids: list[int],
                  cands: dict[int, list[_PairState]],
-                 ue_by_id: dict[int, UserEquipment]) -> None:
+                 ue_by_id: dict[int, UserEquipment],
+                 service_ids: frozenset[int]) -> None:
         self._count: dict[int, int] = {}
         #: Pairs retired by capacity watermarks since construction —
         #: the per-run f_u churn the round diagnostics report.
         self.retired = 0
         cru_heaps: dict[tuple[int, int], list] = {}
         rrb_heaps: dict[int, list] = {}
-        # Snapshot remaining capacities once (ledgers are quiescent
-        # here) so the per-pair feasibility test is two dict reads.
-        remaining_rrbs = {
-            ledger.bs_id: ledger.remaining_rrbs for ledger in ctx.ledgers
-        }
+        # Snapshot the candidate BSs' remaining capacities once (ledgers
+        # are quiescent here) so the per-pair feasibility test is two
+        # dict reads.
+        remaining_rrbs: dict[int, int] = {}
         remaining_crus: dict[tuple[int, int], int] = {}
-        for ledger in ctx.ledgers:
-            bs_id = ledger.bs_id
-            for service_id, crus in ledger.remaining_crus_by_service().items():
-                remaining_crus[(bs_id, service_id)] = crus
+        ledger_of = ctx.ledgers.ledger
+        for bs_id in ctx.candidate_bs_ids:
+            ledger = ledger_of(bs_id)
+            remaining_rrbs[bs_id] = ledger.remaining_rrbs
+            for service_id in service_ids:
+                remaining_crus[(bs_id, service_id)] = (
+                    ledger.remaining_crus(service_id)
+                )
         seq = 0
         for ue_id in target_ids:
             ue = ue_by_id[ue_id]
@@ -393,7 +402,9 @@ class IterativeMatchingEngine:
         earlier arrivals plus the ids of the newly arrived UEs, and only
         those UEs are matched against the remaining capacity.  The
         returned assignment covers exactly ``ue_ids``; pre-existing
-        grants are left untouched and not reported.
+        grants are left untouched and not reported.  Every per-run
+        structure spans only the candidate BSs of ``ue_ids``, so a small
+        batch costs O(batch coverage) whatever the pool size.
 
         ``observer`` receives one :class:`RoundStats` per round — the
         hook the convergence diagnostics and phase profiling build on.
@@ -410,27 +421,31 @@ class IterativeMatchingEngine:
             target_ids = sorted(ue.ue_id for ue in network.user_equipments)
         else:
             target_ids = sorted(set(ue_ids))
-        preexisting = {
-            (grant.bs_id, grant.ue_id) for grant in ledgers.all_grants()
+        # Sorted so the proposal scan's first-wins tie-break equals the
+        # reference's (score, bs_id) argmin ordering.
+        candidate_sets = {
+            ue_id: sorted(network.candidate_base_stations(ue_id))
+            for ue_id in target_ids
         }
         ctx = MatchingContext(
             network=network,
             radio_map=radio_map,
             ledgers=ledgers,
-            # Sorted so the proposal scan's first-wins tie-break equals
-            # the reference's (score, bs_id) argmin ordering.
-            candidate_sets={
-                ue_id: sorted(network.candidate_base_stations(ue_id))
-                for ue_id in target_ids
-            },
+            candidate_sets=candidate_sets,
+            candidate_bs_ids=tuple(
+                sorted(set().union(*candidate_sets.values()))
+            ),
         )
         network_ue = network.user_equipment
         ue_by_id = {ue_id: network_ue(ue_id) for ue_id in target_ids}
         service_ids = frozenset(ue.service_id for ue in ue_by_id.values())
         cands = self._build_pair_states(ctx, target_ids, ue_by_id)
-        tracker = _FeasibilityTracker(ctx, target_ids, cands, ue_by_id)
+        tracker = _FeasibilityTracker(
+            ctx, target_ids, cands, ue_by_id, service_ids
+        )
         unassociated = list(target_ids)
         cloud: set[int] = set()
+        grant_log: list[Grant] = []
         rounds = 0
         tel = get_telemetry()
 
@@ -474,7 +489,7 @@ class IterativeMatchingEngine:
                     phase_start = time.perf_counter()
                     retired_before = tracker.retired
                     accepted, evictions = self._process_base_stations(
-                        ctx, requests, tracker, ue_by_id
+                        ctx, requests, tracker, ue_by_id, grant_log
                     )
                     accept_time = time.perf_counter() - phase_start
                     fu_retired = tracker.retired - retired_before
@@ -514,13 +529,10 @@ class IterativeMatchingEngine:
             cloud.update(unassociated)
             match_span.set(rounds=rounds - 1, cloud=len(cloud))
             tel.gauge("match.rounds", rounds - 1)
-        new_grants = tuple(
-            grant
-            for grant in ledgers.all_grants()
-            if (grant.bs_id, grant.ue_id) not in preexisting
-        )
+        # Ledger-pool order, chronological within a BS (sorted is
+        # stable): the order the pool itself lists these grants in.
         return Assignment(
-            grants=new_grants,
+            grants=sorted(grant_log, key=lambda g: ledgers.position(g.bs_id)),
             cloud_ue_ids=frozenset(cloud),
             rounds=rounds - 1,
         )
@@ -700,11 +712,13 @@ class IterativeMatchingEngine:
         requests: dict[int, dict[int, list[_PairState]]],
         tracker: _FeasibilityTracker,
         ue_by_id: dict[int, UserEquipment],
+        grant_log: list[Grant],
     ) -> tuple[set[int], int]:
         """Phases 2--3: per-service selection plus the RRB budget check.
 
         Returns the set of UE ids granted an association this round and
-        the number of tentative picks evicted by the RRB budget check.
+        the number of tentative picks evicted by the RRB budget check;
+        each grant is appended to ``grant_log``.
         Requests arrive as :class:`_PairState` objects, so the grant
         below spends the pair's cached ``n_{u,i}`` instead of a
         radio-map lookup.
@@ -718,12 +732,12 @@ class IterativeMatchingEngine:
             evictions += len(picks) - len(survivors)
             for pair in survivors:
                 ue = ue_by_id[pair.ue_id]
-                ledger.grant(
+                grant_log.append(ledger.grant(
                     ue_id=pair.ue_id,
                     service_id=ue.service_id,
                     crus=ue.cru_demand,
                     rrbs=pair.rrbs,
-                )
+                ))
                 tracker.on_grant(ledger, ue.service_id)
                 accepted.add(pair.ue_id)
         return accepted, evictions

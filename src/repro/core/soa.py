@@ -14,12 +14,15 @@ The run is compiled into a CSR problem over candidate links:
 
 * **UE rows** (one per target UE, ascending ``ue_id``): service pool
   index, CRU demand, SP id, and the external ``ue_id``.
-* **BS columns** (one per base station, ledger-pool order): ``bs_id``,
-  SP id, and the *columnar remainders* — ``rem_rrb[n_bs]`` plus a flat
-  ``rem_cru[n_bs * n_svc]`` (BS-major) mirroring every
-  :class:`~repro.compute.cru.BSLedger`'s per-service CRU ledger.
+* **BS columns** (one per *candidate* base station — a BS some target
+  UE can reach — in ledger-pool order): ``bs_id``, SP id, and the
+  *columnar remainders* — ``rem_rrb[n_bs]`` plus a flat
+  ``rem_cru[n_bs * n_svc]`` (BS-major) mirroring those
+  :class:`~repro.compute.cru.BSLedger`'s per-service CRU ledgers.  No
+  other BS can be proposed to, so the compile is O(batch coverage),
+  not O(#BS).
 * **Candidate pairs** in CSR order (UE-row major, ascending ``bs_id``
-  within a row — the object engine's scan order): the BS pool index,
+  within a row — the object engine's scan order): the BS column index,
   the cached ``n_{u,i}`` RRB demand lifted straight from the
   :class:`~repro.radio.channel.RadioMap` columns, the cached Eq. 17
   price term ``p_{i,u}``, and an ``alive`` feasibility mask.
@@ -255,7 +258,8 @@ class SoAMatchingEngine:
         Supports the incremental mode (pre-loaded ``ledgers`` plus a
         ``ue_ids`` subset) and the ``observer`` hook; the passed-in
         ledger pool ends in the identical state — grants are applied to
-        it in the object engine's insertion order.
+        it in the object engine's insertion order, and the returned
+        grants are exactly those applications, in that order.
         """
         policy = self.policy
         ledgers = ledgers if ledgers is not None else LedgerPool(
@@ -265,41 +269,11 @@ class SoAMatchingEngine:
             target_ids = sorted(ue.ue_id for ue in network.user_equipments)
         else:
             target_ids = sorted(set(ue_ids))
-        preexisting = {
-            (grant.bs_id, grant.ue_id) for grant in ledgers.all_grants()
-        }
 
         # ---- Compile the run into the CSR problem ----
-        base_stations = tuple(network.base_stations)
-        n_bs = len(base_stations)
         n_ue = len(target_ids)
-        bs_id_arr = np.array(
-            [bs.bs_id for bs in base_stations], dtype=np.int64
-        )
-        bs_sp = np.array([bs.sp_id for bs in base_stations], dtype=np.int64)
-
         ues = [network.user_equipment(ue_id) for ue_id in target_ids]
-        service_ids = sorted(
-            {s for bs in base_stations for s in bs.cru_capacity}
-            | {ue.service_id for ue in ues}
-        )
-        svc_index = {sid: k for k, sid in enumerate(service_ids)}
-        n_svc = len(service_ids)
-
-        rem_rrb = np.array(
-            [ledgers.ledger(bs.bs_id).remaining_rrbs for bs in base_stations],
-            dtype=np.int64,
-        )
-        rem_cru = np.zeros(n_bs * n_svc, dtype=np.int64)
-        for b, bs in enumerate(base_stations):
-            ledger = ledgers.ledger(bs.bs_id)
-            for sid, crus in ledger.remaining_crus_by_service().items():
-                rem_cru[b * n_svc + svc_index[sid]] = crus
-
         ue_id_arr = np.array(target_ids, dtype=np.int64)
-        ue_svc = np.array(
-            [svc_index[ue.service_id] for ue in ues], dtype=np.int64
-        )
         ue_svc_id = np.array([ue.service_id for ue in ues], dtype=np.int64)
         ue_cru = np.array([ue.cru_demand for ue in ues], dtype=np.int64)
         ue_sp = np.array([ue.sp_id for ue in ues], dtype=np.int64)
@@ -325,7 +299,34 @@ class SoAMatchingEngine:
         pair_rrbs = radio_map.rrb_demands[sel]
         pair_dist = radio_map.distances_m[sel]
 
-        # bs_id -> BS pool index, vectorized (ids need not be sorted).
+        # BS columns: the candidate BSs only, in ledger-pool order.
+        cand_ids = sorted(
+            np.unique(link_bs_ids).tolist(), key=ledgers.position
+        )
+        n_bs = len(cand_ids)
+        cand_ledgers = [ledgers.ledger(bs_id) for bs_id in cand_ids]
+        cand_bs = [network.base_station(bs_id) for bs_id in cand_ids]
+        bs_id_arr = np.array(cand_ids, dtype=np.int64)
+        bs_sp = np.array([bs.sp_id for bs in cand_bs], dtype=np.int64)
+        service_ids = sorted(
+            {s for bs in cand_bs for s in bs.cru_capacity}
+            | {ue.service_id for ue in ues}
+        )
+        svc_index = {sid: k for k, sid in enumerate(service_ids)}
+        n_svc = len(service_ids)
+        rem_rrb = np.array(
+            [ledger.remaining_rrbs for ledger in cand_ledgers],
+            dtype=np.int64,
+        )
+        rem_cru = np.zeros(n_bs * n_svc, dtype=np.int64)
+        for b, ledger in enumerate(cand_ledgers):
+            for sid, crus in ledger.remaining_crus_by_service().items():
+                rem_cru[b * n_svc + svc_index[sid]] = crus
+        ue_svc = np.array(
+            [svc_index[ue.service_id] for ue in ues], dtype=np.int64
+        )
+
+        # bs_id -> BS column index, vectorized (ids need not be sorted).
         id_order = np.argsort(bs_id_arr)
         pair_bs = id_order[
             np.searchsorted(bs_id_arr[id_order], link_bs_ids)
@@ -571,27 +572,23 @@ class SoAMatchingEngine:
 
         # Apply grants to the real pool in the object engine's insertion
         # order: BS pool order major, chronological within a BS (the
-        # per-round parts were appended chronologically, so a stable
-        # sort on the BS index reproduces it exactly).
+        # per-round parts were appended chronologically, and columns are
+        # in pool order, so a stable sort on the column reproduces it).
+        grants = []
         if grant_bs_parts:
             all_bs = np.concatenate(grant_bs_parts)
             all_row = np.concatenate(grant_row_parts)
             all_rrb = np.concatenate(grant_rrb_parts)
             for i in np.argsort(all_bs, kind="stable").tolist():
                 row = int(all_row[i])
-                ledgers.ledger(int(bs_id_arr[all_bs[i]])).grant(
+                grants.append(cand_ledgers[all_bs[i]].grant(
                     ue_id=int(ue_id_arr[row]),
                     service_id=int(ue_svc_id[row]),
                     crus=int(ue_cru[row]),
                     rrbs=int(all_rrb[i]),
-                )
-        new_grants = tuple(
-            grant
-            for grant in ledgers.all_grants()
-            if (grant.bs_id, grant.ue_id) not in preexisting
-        )
+                ))
         return Assignment(
-            grants=new_grants,
+            grants=grants,
             cloud_ue_ids=cloud,
             rounds=rounds - 1,
         )

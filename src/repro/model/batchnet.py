@@ -110,6 +110,7 @@ class BatchNetworkBuilder:
             "_bs_col",
             "_hosts_by_service",
             "_bs_id_array",
+            "_bs_rrb_array",
             "_grid",
         ):
             object.__setattr__(clone, name, getattr(template, name))

@@ -84,6 +84,7 @@ class MECNetwork:
     _candidate_mask: np.ndarray | None = field(init=False, repr=False)
     _hosts_by_service: Mapping[int, np.ndarray] = field(init=False, repr=False)
     _bs_id_array: np.ndarray = field(init=False, repr=False)
+    _bs_rrb_array: np.ndarray = field(init=False, repr=False)
     _grid: SpatialGrid | None = field(init=False, repr=False)
     _cov_indptr: np.ndarray | None = field(init=False, repr=False)
     _cov_cols: np.ndarray | None = field(init=False, repr=False)
@@ -163,6 +164,9 @@ class MECNetwork:
         )
         object.__setattr__(self, "_hosts_by_service", hosts_by_service)
         object.__setattr__(self, "_bs_id_array", bs_id_array)
+        object.__setattr__(self, "_bs_rrb_array", _frozen(np.array(
+            [bs.rrb_capacity for bs in self.base_stations], dtype=np.int64
+        )))
 
         if mode == "dense":
             self._init_dense_geometry(ue_row, hosts_by_service, bs_id_array)
@@ -416,6 +420,11 @@ class MECNetwork:
         except KeyError:
             raise UnknownEntityError(f"unknown BS id {bs_id}") from None
 
+    def bs_column_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(bs_id, rrb_capacity)`` per BS column, shared by every batch
+        and moved-UE network of one deployment (do not mutate)."""
+        return self._bs_id_array, self._bs_rrb_array
+
     def with_moved_ues(
         self,
         new_positions: Mapping[int, Point],
@@ -480,6 +489,7 @@ class MECNetwork:
             "_bs_col",
             "_hosts_by_service",
             "_bs_id_array",
+            "_bs_rrb_array",
             "_grid",
             "_cov_indptr",
             "_cov_cols",

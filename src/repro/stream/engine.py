@@ -66,8 +66,10 @@ __all__ = [
 #: least this many UEs with the SoA kernel; smaller batches stay on the
 #: object engine, whose per-run setup is cheaper.  Both kernels are
 #: bit-identical for a plain :class:`~repro.core.dmra.DMRAPolicy`, so
-#: the threshold is purely a throughput knob.
-SOA_BATCH_THRESHOLD = 64
+#: the threshold is purely a throughput knob.  With both kernels scoped
+#: to the batch's candidate BSs, SoA is faster per flush from about 3
+#: UEs on, on 25 and on 2,500 BSs alike (table in docs/streaming.md).
+SOA_BATCH_THRESHOLD = 4
 
 
 def _debug_stream() -> bool:
