@@ -1,9 +1,10 @@
-"""A day at the edge: diurnal load through the online simulator.
+"""A day at the edge: diurnal load through the streaming engine.
 
 Real MEC traffic is not stationary — it climbs through the morning,
 peaks midday, and falls off at night.  This example compresses a "day"
 into a 1200-second simulation with a sinusoidal arrival rate
-(:class:`repro.dynamics.DiurnalArrivals`), runs DMRA online, and prints
+(:class:`repro.dynamics.DiurnalArrivals`), runs DMRA online as a loss
+system (blocked tasks stay in the cloud), and prints
 the hour-by-hour picture: offered rate, edge occupancy, RRB
 utilization, and when (if ever) the edge starts spilling to the cloud.
 
@@ -24,12 +25,11 @@ from repro.dynamics import (
     ArrivalTrace,
     DiurnalArrivals,
     ExponentialHolding,
-    OnlineConfig,
     read_trace_csv,
-    run_online,
     write_trace_csv,
 )
 from repro.sim.config import ScenarioConfig
+from repro.stream import StreamConfig, run_stream
 
 DAY_S = 1200.0  # compressed 24 h
 SLOT_S = 100.0  # one "2-hour" reporting slot
@@ -45,12 +45,12 @@ def main() -> None:
         peak_rate_per_s=PEAK_RATE,
         period_s=DAY_S,
     )
-    online = OnlineConfig(
+    stream = StreamConfig(
         horizon_s=DAY_S,
         arrivals=diurnal,
         holding=ExponentialHolding(mean_s=HOLDING_S),
     )
-    outcome = run_online(config, online, seed=7)
+    outcome = run_stream(config, stream, 7, readmit=False)
 
     print(f"compressed day: base {BASE_RATE}/s, peak {PEAK_RATE}/s, "
           f"mean holding {HOLDING_S:.0f} s")
@@ -76,14 +76,15 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         path = write_trace_csv(Path(tmp) / "day.csv", times)
         trace: ArrivalTrace = read_trace_csv(path)
-        replayed = run_online(
+        replayed = run_stream(
             config,
-            OnlineConfig(
+            StreamConfig(
                 horizon_s=DAY_S,
                 arrivals=trace,
                 holding=ExponentialHolding(mean_s=HOLDING_S),
             ),
-            seed=7,
+            7,
+            readmit=False,
         )
     print(f"\ntrace replay: {trace.count} arrivals from CSV, "
           f"{replayed.admitted_edge} served at the edge "

@@ -1,23 +1,20 @@
 """Online DMRA: tasks arrive, hold resources, and depart over time.
 
-The paper's figures are batch snapshots; this example runs the
-event-driven simulation the paper's §V motivation implies ("adjust its
-resource allocation strategy in real time") and produces an
-Erlang-style blocking curve: offered load (arrival rate x holding time)
-against the probability that a task cannot be absorbed at the edge.
+The paper's figures are batch snapshots; this example replays churn
+tapes through the streaming engine the paper's §V motivation implies
+("adjust its resource allocation strategy in real time") as a loss
+system — a task the edge cannot absorb on arrival stays in the cloud —
+and produces an Erlang-style blocking curve: offered load (arrival rate
+x holding time) against the probability that a task is blocked.
 
 Run with::
 
     python examples/online_arrivals.py
 """
 
-from repro.dynamics import (
-    ExponentialHolding,
-    OnlineConfig,
-    PoissonArrivals,
-    run_online,
-)
+from repro.dynamics import ExponentialHolding, PoissonArrivals
 from repro.sim.config import ScenarioConfig
+from repro.stream import StreamConfig, run_stream
 
 HORIZON_S = 400.0
 HOLDING_S = 150.0
@@ -36,12 +33,12 @@ def main() -> None:
     for rate in (2.0, 4.0, 6.0, 8.0, 10.0, 12.0):
         blocking, util, rate_profit, peak = 0.0, 0.0, 0.0, 0.0
         for seed in SEEDS:
-            online = OnlineConfig(
+            stream = StreamConfig(
                 horizon_s=HORIZON_S,
                 arrivals=PoissonArrivals(rate_per_s=rate),
                 holding=ExponentialHolding(mean_s=HOLDING_S),
             )
-            outcome = run_online(config, online, seed=seed)
+            outcome = run_stream(config, stream, seed, readmit=False)
             blocking += outcome.blocking_probability / len(SEEDS)
             util += outcome.mean_rrb_utilization / len(SEEDS)
             rate_profit += outcome.profit_rate_per_s / len(SEEDS)

@@ -9,7 +9,7 @@ Subcommands
 ``analyze``  fairness / envy / convergence / map report for one run
 ``agents``   multi-process decentralized deployment with fault injection
 ``bound``    certify the optimality gap against LP/Lagrangian bounds
-``online``   event-driven simulation with arrivals and departures
+``online``   loss-model churn replay: blocked tasks stay in the cloud
 ``mobility`` epoch-based movement with handover accounting
 ``failures`` BS outage injection and recovery report
 ``crossover`` bisect the load where one scheme overtakes another
@@ -475,7 +475,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     online = sub.add_parser(
-        "online", help="event-driven simulation with arrivals/departures"
+        "online",
+        help="loss-model churn simulation: blocked tasks stay in the cloud",
     )
     online.add_argument("--rate", type=float, default=3.0,
                         help="Poisson arrival rate (tasks/s)")
@@ -1249,25 +1250,24 @@ def _cmd_agents(args: argparse.Namespace) -> int:
 
 
 def _cmd_online(args: argparse.Namespace) -> int:
-    from repro.dynamics import (
-        ExponentialHolding,
-        OnlineConfig,
-        PoissonArrivals,
-        run_online,
-    )
+    from repro.dynamics import ExponentialHolding, PoissonArrivals
+    from repro.stream import StreamConfig, run_stream
 
     config = ScenarioConfig.paper(cross_sp_markup=args.iota, rho=args.rho)
-    online = OnlineConfig(
+    stream = StreamConfig(
         horizon_s=args.horizon,
         arrivals=PoissonArrivals(rate_per_s=args.rate),
         holding=ExponentialHolding(mean_s=args.holding),
     )
-    outcome = run_online(config, online, seed=args.seed, kernel=args.kernel)
+    # The loss model: a blocked task stays in the cloud until it departs.
+    outcome = run_stream(
+        config, stream, args.seed, kernel=args.kernel, readmit=False
+    )
     if getattr(args, "metrics", None) is not None:
-        from repro.obs import metrics_from_online
+        from repro.obs import metrics_from_stream
 
         _PENDING_OUTCOME_FAMILIES.extend(
-            metrics_from_online(outcome).families
+            metrics_from_stream(outcome).families
         )
     print(f"deployment:          {config.sp_count} SPs x "
           f"{config.bs_per_sp} BSs/SP over "

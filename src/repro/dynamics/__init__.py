@@ -1,4 +1,5 @@
-"""Online dynamics: event-driven arrivals/departures over DMRA."""
+"""Dynamics around DMRA: arrival processes, holding times, mobility and
+failures.  The churn loop that consumes them is :mod:`repro.stream`."""
 
 from repro.dynamics.arrivals import (
     ArrivalProcess,
@@ -18,12 +19,6 @@ from repro.dynamics.mobility import (
     RandomWalk,
     RandomWaypoint,
     run_mobility,
-)
-from repro.dynamics.online import (
-    LedgerMonitor,
-    OnlineConfig,
-    OnlineOutcome,
-    run_online,
 )
 from repro.dynamics.timeseries import StepSeries
 from repro.dynamics.trace import (
@@ -48,11 +43,8 @@ __all__ = [
     "EventQueue",
     "ExponentialHolding",
     "HoldingTimeModel",
-    "LedgerMonitor",
     "MobilityModel",
     "MobilityOutcome",
-    "OnlineConfig",
-    "OnlineOutcome",
     "PoissonArrivals",
     "RandomWalk",
     "RandomWaypoint",
@@ -60,6 +52,5 @@ __all__ = [
     "inject_bs_failures",
     "read_trace_csv",
     "run_mobility",
-    "run_online",
     "write_trace_csv",
 ]

@@ -22,8 +22,7 @@ class EventKind(Enum):
     ARRIVAL = "arrival"
     DEPARTURE = "departure"
     #: A mobility delta: the UE is still active but changed position.
-    #: Only the streaming tape (:mod:`repro.stream`) emits these; the
-    #: classic online queue never schedules them.
+    #: Only the streaming tape (:mod:`repro.stream`) emits these.
     MOVE = "move"
 
 

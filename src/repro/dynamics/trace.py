@@ -4,7 +4,7 @@ Two capabilities beyond the stationary Poisson process:
 
 * **replay** — :class:`ArrivalTrace` wraps explicit timestamps (e.g.
   exported from a production system or a previous run) and plugs into
-  :class:`~repro.dynamics.online.OnlineConfig` like any arrival
+  :class:`~repro.stream.StreamConfig` like any arrival
   process; CSV read/write round-trips traces through disk;
 * **diurnal load** — :class:`DiurnalArrivals` generates a
   non-homogeneous Poisson process whose rate follows a sinusoidal

@@ -30,7 +30,6 @@ from repro.baselines.dcsp import DCSPAllocator
 from repro.baselines.nonco import NonCoAllocator
 from repro.core.dmra import DMRAAllocator
 from repro.dynamics.arrivals import ExponentialHolding, PoissonArrivals
-from repro.dynamics.online import OnlineConfig, run_online
 from repro.econ.pricing import PaperPricing
 from repro.errors import ConfigurationError
 from repro.experiments.figures import Experiment, Scale
@@ -40,6 +39,7 @@ from repro.sim.results import Series
 from repro.sim.runner import run_allocation
 from repro.sim.scenario import build_scenario
 from repro.sim.sweep import SweepResult, SweepSpec, run_sweep
+from repro.stream import StreamConfig, run_stream
 
 __all__ = ["EXTENSIONS", "get_extension", "all_experiments"]
 
@@ -156,12 +156,12 @@ def _run_ext_blocking(
     for rate in rates:
         values = []
         for seed in scale.seeds:
-            online = OnlineConfig(
+            stream = StreamConfig(
                 horizon_s=300.0,
                 arrivals=PoissonArrivals(rate_per_s=rate),
                 holding=ExponentialHolding(mean_s=holding_s),
             )
-            outcome = run_online(config, online, seed=seed)
+            outcome = run_stream(config, stream, seed, readmit=False)
             values.append(outcome.blocking_probability * 100.0)
         samples.append((rate * holding_s, values))
     return SweepResult(series={

@@ -40,7 +40,6 @@ from repro.obs.metrics import (
     MetricsDocument,
     histogram_family,
     metrics_from_certificates,
-    metrics_from_online,
     metrics_from_outcome,
     metrics_from_stream,
     metrics_from_trace,
@@ -112,7 +111,6 @@ __all__ = [
     "log_bounds",
     "manifests_comparable",
     "metrics_from_certificates",
-    "metrics_from_online",
     "metrics_from_outcome",
     "metrics_from_stream",
     "metrics_from_trace",

@@ -14,7 +14,7 @@ model —
   ``dmra.metrics/1``
 
 — derived from a live outcome (:func:`metrics_from_outcome`,
-:func:`metrics_from_online`) or from a recorded ``dmra.trace/1`` file
+:func:`metrics_from_stream`) or from a recorded ``dmra.trace/1`` file
 (:func:`metrics_from_trace`), and exported two ways: a canonical JSON
 document that round-trips exactly (``write -> parse -> re-emit`` is
 byte-identical, like the trace format) and Prometheus text exposition
@@ -42,7 +42,6 @@ __all__ = [
     "MetricSample",
     "MetricsDocument",
     "histogram_family",
-    "metrics_from_online",
     "metrics_from_outcome",
     "metrics_from_stream",
     "metrics_from_trace",
@@ -82,7 +81,6 @@ _LABELED_HISTOGRAM_PREFIXES = {
 #: Flat telemetry counter prefixes that encode an entity id as their
 #: last dot-segment; trace derivation folds them into labeled families.
 _LABELED_COUNTER_PREFIXES = {
-    "online.sp_profit": "sp",
     "scale.shard_rounds": "shard",
     "scale.shard_evictions": "shard",
     "stream.sp_profit": "sp",
@@ -827,71 +825,6 @@ def metrics_from_certificates(
 
 
 # ----------------------------------------------------------------------
-# Derivation: online simulation outcome
-# ----------------------------------------------------------------------
-
-
-def metrics_from_online(
-    outcome, manifest: dict | None = None
-) -> MetricsDocument:
-    """Derive operator metrics from one online-simulation outcome.
-
-    Blocking probability, profit throughput, per-SP admitted profit,
-    and the occupancy series the load-aware evaluations plot:
-    time-averaged and peak edge/cloud occupancy and RRB utilization.
-    """
-    build = _Builder()
-    build.scalar(
-        "dmra_online_arrivals_total", "counter", "Tasks that arrived",
-        outcome.arrivals,
-    )
-    build.scalar(
-        "dmra_online_admitted_edge_total", "counter",
-        "Tasks admitted at the edge", outcome.admitted_edge,
-    )
-    build.scalar(
-        "dmra_online_admitted_cloud_total", "counter",
-        "Tasks the edge could not absorb", outcome.admitted_cloud,
-    )
-    build.scalar(
-        "dmra_online_blocking_probability", "gauge",
-        "Fraction of tasks forwarded to the cloud",
-        outcome.blocking_probability,
-    )
-    build.scalar(
-        "dmra_online_profit_rate_per_s", "gauge",
-        "Admitted profit per simulated second",
-        outcome.profit_rate_per_s,
-    )
-    build.add(
-        "dmra_online_sp_profit", "gauge",
-        "Per-SP admitted profit over the horizon",
-        [
-            MetricSample.of(profit, sp=sp_id)
-            for sp_id, profit in sorted(outcome.profit_by_sp.items())
-        ],
-    )
-    horizon = outcome.horizon_s
-    for series, base, help_text in (
-        (outcome.edge_active, "dmra_online_edge_active",
-         "Concurrent edge-served tasks"),
-        (outcome.cloud_active, "dmra_online_cloud_active",
-         "Concurrent cloud-forwarded tasks"),
-        (outcome.rrb_utilization, "dmra_online_rrb_utilization",
-         "Aggregate RRB pool occupancy"),
-    ):
-        build.add(
-            base, "gauge", f"{help_text} (occupancy series summary)",
-            [
-                MetricSample.of(series.time_average(horizon), stat="mean"),
-                MetricSample.of(series.peak, stat="peak"),
-                MetricSample.of(series.last_value, stat="last"),
-            ],
-        )
-    return build.document(manifest)
-
-
-# ----------------------------------------------------------------------
 # Derivation: streaming replay outcome
 # ----------------------------------------------------------------------
 
@@ -1025,7 +958,7 @@ def _sanitize(name: str) -> str:
 
 
 def _split_labeled_counter(name: str) -> tuple[str, str, str] | None:
-    """``online.sp_profit.3`` -> ``(online.sp_profit, sp, 3)``, or None."""
+    """``stream.sp_profit.3`` -> ``(stream.sp_profit, sp, 3)``, or None."""
     prefix, _, tail = name.rpartition(".")
     label = _LABELED_COUNTER_PREFIXES.get(prefix)
     if label is not None and tail:
@@ -1039,7 +972,7 @@ def metrics_from_trace(
     """Derive a metrics document from a recorded ``dmra.trace/1`` trace.
 
     * counters become ``*_total`` counter families (flat names with a
-      trailing entity id — e.g. ``online.sp_profit.3`` — fold into one
+      trailing entity id — e.g. ``stream.sp_profit.3`` — fold into one
       labeled family);
     * gauges become gauge families with ``stat`` label
       (last/min/max/samples);

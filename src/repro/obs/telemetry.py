@@ -1,7 +1,7 @@
 """Structured telemetry: counters, gauges, timers, and nested spans.
 
 The instrumented hot paths (matching engine, radio-map builders, the
-online event loop, failure repair, sweeps) all report through one
+streaming engine, failure repair, sweeps) all report through one
 process-wide backend obtained via :func:`get_telemetry`.  Two backends
 exist:
 

@@ -10,9 +10,9 @@ A trace file is newline-delimited JSON with a fixed, documented layout
   emitted in sorted-name order::
 
       {"kind": "counter", "name": "match.proposals", "value": 1234}
-      {"kind": "gauge", "name": "online.rrbs_in_flight",
+      {"kind": "gauge", "name": "stream.edge_active",
        "value": 41, "min": 0, "max": 97, "count": 512}
-      {"kind": "timer", "name": "online.batch", "count": 64,
+      {"kind": "timer", "name": "stream.rematch", "count": 64,
        "total_s": 0.81, "min_s": 0.002, "max_s": 0.04}
 
 * zero or more **hist** lines (``dmra.trace/2`` only), one per

@@ -28,6 +28,16 @@ outcome bit for bit: any cloud UE left out is born-retired in the
 reference run (it proposes nowhere and cannot alter another UE's
 grants).  ``DMRA_DEBUG_STREAM=1`` re-verifies the quiescence invariant
 after every re-match.
+
+With ``readmit=False`` both engines run a *loss system* instead: a UE
+forwarded to the cloud stays there until it departs (blocked tasks are
+lost to the edge, the Erlang-B model).  The incremental engine then
+never indexes cloud UEs, so releases dirty nothing, and the oracle
+re-proposes none.
+
+Ledger conservation is an O(1) tripwire per event
+(:class:`LedgerMonitor`); the full O(#BS) scan runs on a cadence, or on
+every event under ``DMRA_DEBUG_LEDGER=1``.
 """
 
 from __future__ import annotations
@@ -40,7 +50,6 @@ from repro.compute.cru import LedgerPool
 from repro.core.dmra import DMRAPolicy
 from repro.core.matching import IterativeMatchingEngine, MatchingPolicy
 from repro.core.soa import KERNELS, make_matching_engine
-from repro.dynamics.online import LedgerMonitor
 from repro.econ.accounting import marginal_profit
 from repro.errors import AllocationError, ConfigurationError
 from repro.model.batchnet import BatchNetworkBuilder
@@ -57,7 +66,9 @@ from repro.radio.channel import RadioMap, build_radio_map
 from repro.radio.sinr import LinkBudget
 
 __all__ = [
+    "DEFAULT_LEDGER_SCAN_CADENCE",
     "IncrementalShardEngine",
+    "LedgerMonitor",
     "RescratchShardEngine",
     "SOA_BATCH_THRESHOLD",
 ]
@@ -72,8 +83,87 @@ __all__ = [
 SOA_BATCH_THRESHOLD = 4
 
 
+#: Events between full O(#BS) ledger-conservation scans; the O(1)
+#: in-flight comparison still runs on every event.
+DEFAULT_LEDGER_SCAN_CADENCE = 1024
+
+
 def _debug_stream() -> bool:
     return os.environ.get("DMRA_DEBUG_STREAM", "") not in ("", "0")
+
+
+def _debug_ledger() -> bool:
+    return os.environ.get("DMRA_DEBUG_LEDGER", "") not in ("", "0")
+
+
+class LedgerMonitor:
+    """O(1) per-event ledger-conservation tripwire.
+
+    Tracks granted and freed RRBs as they happen (the incremental
+    counterpart of summing every ledger's remainder), so the steady-state
+    check is one integer comparison.  The full
+    :func:`_check_ledger_conservation` scan — which audits the actual
+    ledger objects — still runs every ``cadence`` checks, and on *every*
+    check when ``DMRA_DEBUG_LEDGER=1``.
+    """
+
+    __slots__ = ("_ledgers", "_total_rrbs", "_cadence", "_in_flight",
+                 "_since_scan")
+
+    def __init__(
+        self,
+        ledgers: LedgerPool,
+        total_rrbs: int,
+        cadence: int = DEFAULT_LEDGER_SCAN_CADENCE,
+    ) -> None:
+        if cadence <= 0:
+            raise ConfigurationError(
+                f"scan cadence must be > 0, got {cadence}"
+            )
+        self._ledgers = ledgers
+        self._total_rrbs = total_rrbs
+        self._cadence = cadence
+        self._in_flight = sum(
+            grant.rrbs for grant in ledgers.all_grants()
+        )
+        self._since_scan = 0
+
+    def on_grant(self, rrbs: int) -> None:
+        """Record ``rrbs`` RRBs granted to an admitted task."""
+        self._in_flight += rrbs
+
+    def on_release(self, rrbs: int) -> None:
+        """Record ``rrbs`` RRBs freed by a departing task."""
+        self._in_flight -= rrbs
+
+    def check(self, used_rrbs: int, force: bool = False) -> None:
+        """O(1) comparison; full scan on cadence / debug / ``force``."""
+        if self._in_flight != used_rrbs:
+            raise AllocationError(
+                f"ledger conservation violated: ledgers hold "
+                f"{self._in_flight} granted RRBs but the run tracks "
+                f"{used_rrbs} in flight"
+            )
+        self._since_scan += 1
+        if force or _debug_ledger() or self._since_scan >= self._cadence:
+            self._since_scan = 0
+            _check_ledger_conservation(
+                self._ledgers, self._total_rrbs, used_rrbs
+            )
+
+
+def _check_ledger_conservation(
+    ledgers: LedgerPool, total_rrbs: int, used_rrbs: int
+) -> None:
+    """Edge RRBs tracked in flight must equal the sum of live grants."""
+    in_flight = total_rrbs - sum(
+        ledger.remaining_rrbs for ledger in ledgers
+    )
+    if in_flight != used_rrbs:
+        raise AllocationError(
+            f"ledger conservation violated: ledgers hold {in_flight} "
+            f"granted RRBs but the run tracks {used_rrbs} in flight"
+        )
 
 
 class _ShardEngineBase:
@@ -86,6 +176,8 @@ class _ShardEngineBase:
     """
 
     mode: str = "base"
+    #: Checks between full ledger-conservation scans.
+    _scan_cadence: int = DEFAULT_LEDGER_SCAN_CADENCE
 
     def __init__(
         self,
@@ -100,9 +192,12 @@ class _ShardEngineBase:
         rate_model,
         pricing,
         policy: MatchingPolicy,
-        scan_cadence: int = 1024,
+        readmit: bool = True,
     ) -> None:
         self.shard_id = shard_id
+        #: ``False`` makes the engine a loss system: cloud UEs are never
+        #: re-proposed, so they stay in the cloud until they depart.
+        self.readmit = readmit
         self._providers = tuple(providers)
         self._base_stations = tuple(base_stations)
         self._services = tuple(services)
@@ -117,7 +212,7 @@ class _ShardEngineBase:
         self._ledgers = LedgerPool(self._base_stations)
         self.total_rrbs = sum(bs.rrb_capacity for bs in self._base_stations)
         self._monitor = LedgerMonitor(
-            self._ledgers, self.total_rrbs, cadence=scan_cadence
+            self._ledgers, self.total_rrbs, cadence=self._scan_cadence
         )
         # Live state: entities of every active UE (edge + cloud +
         # displaced), the grant records, and the pre-flush staging area.
@@ -380,7 +475,7 @@ class IncrementalShardEngine(_ShardEngineBase):
         pricing,
         policy: MatchingPolicy,
         kernel: str = "auto",
-        scan_cadence: int = 1024,
+        readmit: bool = True,
     ) -> None:
         super().__init__(
             shard_id=shard_id,
@@ -393,7 +488,7 @@ class IncrementalShardEngine(_ShardEngineBase):
             rate_model=rate_model,
             pricing=pricing,
             policy=policy,
-            scan_cadence=scan_cadence,
+            readmit=readmit,
         )
         if kernel not in KERNELS:
             raise ConfigurationError(
@@ -467,6 +562,9 @@ class IncrementalShardEngine(_ShardEngineBase):
     def _on_cloud_entry(
         self, ue_id: int, ue: UserEquipment, radio: RadioMap
     ) -> None:
+        if not self.readmit:
+            # Loss system: an unindexed cloud UE is never dirtied.
+            return
         if ue_id in self._cloud_cands:
             # Same position since last indexed: links unchanged.
             return
@@ -523,6 +621,9 @@ class RescratchShardEngine(_ShardEngineBase):
     """
 
     mode = "rescratch"
+    # Full O(#BS) conservation scans on every event: the reference
+    # trades speed for maximum auditability.
+    _scan_cadence = 1
 
     def __init__(
         self,
@@ -538,7 +639,7 @@ class RescratchShardEngine(_ShardEngineBase):
         pricing,
         policy: MatchingPolicy,
         population: Sequence[UserEquipment],
-        scan_cadence: int = 1,
+        readmit: bool = True,
     ) -> None:
         super().__init__(
             shard_id=shard_id,
@@ -551,7 +652,7 @@ class RescratchShardEngine(_ShardEngineBase):
             rate_model=rate_model,
             pricing=pricing,
             policy=policy,
-            scan_cadence=scan_cadence,
+            readmit=readmit,
         )
         self._network: MECNetwork | None = None
         self._radio: RadioMap | None = None
@@ -570,7 +671,7 @@ class RescratchShardEngine(_ShardEngineBase):
             )
 
     def _reproposal_ids(self) -> Iterable[int]:
-        return sorted(self._cloud)
+        return sorted(self._cloud) if self.readmit else ()
 
     def _batch_context(
         self, propose: dict[int, UserEquipment]

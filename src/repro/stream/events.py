@@ -1,6 +1,6 @@
 """Events on the streaming allocator's input tape.
 
-Unlike the classic online queue (:mod:`repro.dynamics.events`), the
+Unlike a discrete-event queue (:mod:`repro.dynamics.events`), the
 stream is *exogenous*: every event — arrival, departure, and mobility
 delta — is fixed on the tape before the allocator sees it, so the
 incremental engine and the from-scratch reference consume byte-identical

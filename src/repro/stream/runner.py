@@ -122,8 +122,8 @@ class StreamDispatcher:
         shards: int = 1,
         kernel: str = "auto",
         policy: MatchingPolicy | None = None,
-        scan_cadence: int = 1024,
         series_stride: int = 1,
+        readmit: bool = True,
     ) -> None:
         if mode not in MODES:
             raise ConfigurationError(
@@ -205,17 +205,15 @@ class StreamDispatcher:
                 rate_model=rate_model,
                 pricing=pricing,
                 policy=policy,
+                readmit=readmit,
             )
             if mode == "incremental":
                 self._engines.append(IncrementalShardEngine(
-                    kernel=kernel, scan_cadence=scan_cadence, **common
+                    kernel=kernel, **common
                 ))
             else:
-                # Full O(#BS) conservation scans on every event: the
-                # reference trades speed for maximum auditability.
                 self._engines.append(RescratchShardEngine(
-                    population=populations[shard_id], scan_cadence=1,
-                    **common,
+                    population=populations[shard_id], **common,
                 ))
         self.total_rrbs = sum(e.total_rrbs for e in self._engines)
 
@@ -400,14 +398,19 @@ def run_stream(
     shards: int = 1,
     kernel: str = "auto",
     policy: MatchingPolicy | None = None,
-    scan_cadence: int = 1024,
     series_stride: int = 1,
+    readmit: bool = True,
 ) -> StreamOutcome:
     """Replay one churn tape synchronously and return the outcome.
 
     Deterministic given ``(config, stream, seed)`` and the allocation
     options; the asyncio service (:func:`repro.stream.service.serve_stream`)
     produces the identical outcome for the identical inputs.
+
+    ``readmit=False`` runs the loss model (``dmra online``): a task the
+    edge cannot absorb on arrival stays in the cloud until it departs.
+    The default re-proposes cloud tasks once capacity they could use is
+    released (``dmra serve``).
     """
     tape = open_tape(config, stream, seed)
     return replay_tape(
@@ -416,8 +419,8 @@ def run_stream(
         shards=shards,
         kernel=kernel,
         policy=policy,
-        scan_cadence=scan_cadence,
         series_stride=series_stride,
+        readmit=readmit,
     )
 
 
@@ -428,8 +431,8 @@ def replay_tape(
     shards: int = 1,
     kernel: str = "auto",
     policy: MatchingPolicy | None = None,
-    scan_cadence: int = 1024,
     series_stride: int = 1,
+    readmit: bool = True,
 ) -> StreamOutcome:
     """Drive one already-open tape through a dispatcher."""
     tel = get_telemetry()
@@ -443,8 +446,8 @@ def replay_tape(
             shards=shards,
             kernel=kernel,
             policy=policy,
-            scan_cadence=scan_cadence,
             series_stride=series_stride,
+            readmit=readmit,
         )
         start = time.perf_counter()
         if tel.enabled:

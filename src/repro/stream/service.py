@@ -52,7 +52,6 @@ async def serve_stream_async(
     shards: int = 1,
     kernel: str = "auto",
     policy: MatchingPolicy | None = None,
-    scan_cadence: int = 1024,
     series_stride: int = 1,
     queue_maxsize: int = DEFAULT_QUEUE_MAXSIZE,
     flight=None,
@@ -79,7 +78,6 @@ async def serve_stream_async(
             shards=shards,
             kernel=kernel,
             policy=policy,
-            scan_cadence=scan_cadence,
             series_stride=series_stride,
         )
         queue: asyncio.Queue = asyncio.Queue(maxsize=queue_maxsize)

@@ -150,9 +150,9 @@ def open_tape(
     Deterministic given ``(config, stream, seed)``.  RNG layout:
     ``seed`` drives the event schedule (arrival times, then per arrival
     its holding time and optional move draw, in arrival order);
-    ``seed + 1`` drives the scenario frame — mirroring
-    :func:`~repro.dynamics.online.run_online`'s split, so the same seed
-    sees the same deployment in both runners.
+    ``seed + 1`` drives the scenario frame, so a tape and a static
+    :func:`~repro.scale.streaming.build_scenario_frame` call with
+    ``seed + 1`` see the same deployment.
     """
     rng = np.random.default_rng(seed)
     arrival_times = np.asarray(

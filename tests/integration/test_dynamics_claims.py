@@ -5,8 +5,8 @@ import pytest
 from repro.baselines.dcsp import DCSPPolicy
 from repro.dynamics.arrivals import ExponentialHolding, PoissonArrivals
 from repro.dynamics.mobility import RandomWaypoint, run_mobility
-from repro.dynamics.online import OnlineConfig, run_online
 from repro.sim.config import ScenarioConfig
+from repro.stream import StreamConfig, run_stream
 
 CONFIG = ScenarioConfig.paper()
 
@@ -17,13 +17,13 @@ class TestOnlineClaims:
         def mean_blocking(rate):
             total = 0.0
             for seed in range(3):
-                online = OnlineConfig(
+                stream = StreamConfig(
                     horizon_s=250.0,
                     arrivals=PoissonArrivals(rate_per_s=rate),
                     holding=ExponentialHolding(mean_s=180.0),
                 )
-                total += run_online(
-                    CONFIG, online, seed=seed
+                total += run_stream(
+                    CONFIG, stream, seed=seed, readmit=False
                 ).blocking_probability
             return total / 3
 
@@ -34,7 +34,7 @@ class TestOnlineClaims:
     def test_dmra_policy_beats_dcsp_policy_online(self):
         """The online profit rate under the DMRA policy dominates the
         DCSP policy on the same arrival sample paths."""
-        online = OnlineConfig(
+        stream = StreamConfig(
             horizon_s=300.0,
             arrivals=PoissonArrivals(rate_per_s=6.0),
             holding=ExponentialHolding(mean_s=180.0),
@@ -42,24 +42,27 @@ class TestOnlineClaims:
         dmra_total = 0.0
         dcsp_total = 0.0
         for seed in range(3):
-            dmra_total += run_online(
-                CONFIG, online, seed=seed
-            ).total_admitted_profit
-            dcsp_total += run_online(
-                CONFIG, online, seed=seed, policy=DCSPPolicy()
-            ).total_admitted_profit
+            dmra_total += run_stream(
+                CONFIG, stream, seed=seed, readmit=False
+            ).total_profit
+            dcsp_total += run_stream(
+                CONFIG, stream, seed=seed, policy=DCSPPolicy(),
+                readmit=False,
+            ).total_profit
         assert dmra_total > dcsp_total
 
     def test_profit_rate_saturates_with_load(self):
         """Doubling an already saturating arrival rate must not double
         profit throughput: the edge is the bottleneck."""
         def profit_rate(rate):
-            online = OnlineConfig(
+            stream = StreamConfig(
                 horizon_s=300.0,
                 arrivals=PoissonArrivals(rate_per_s=rate),
                 holding=ExponentialHolding(mean_s=250.0),
             )
-            return run_online(CONFIG, online, seed=1).profit_rate_per_s
+            return run_stream(
+                CONFIG, stream, seed=1, readmit=False
+            ).profit_rate_per_s
 
         saturating = profit_rate(8.0)
         doubled = profit_rate(16.0)

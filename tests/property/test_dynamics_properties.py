@@ -11,9 +11,9 @@ from repro.dynamics.arrivals import (
     PoissonArrivals,
 )
 from repro.dynamics.events import Event, EventKind, EventQueue
-from repro.dynamics.online import OnlineConfig, run_online
 from repro.dynamics.timeseries import StepSeries
 from repro.sim.config import ScenarioConfig
+from repro.stream import StreamConfig, run_stream
 
 RELAXED = settings(
     max_examples=10,
@@ -105,17 +105,18 @@ class TestOnlineProperties:
     )
     def test_online_invariants(self, rate, mean_holding, seed):
         config = ScenarioConfig.paper()
-        online = OnlineConfig(
+        stream = StreamConfig(
             horizon_s=120.0,
             arrivals=PoissonArrivals(rate_per_s=rate),
             holding=ExponentialHolding(mean_s=mean_holding),
         )
-        outcome = run_online(config, online, seed=seed)
-        # Conservation: one departure scheduled per arrival.
+        outcome = run_stream(config, stream, seed=seed, readmit=False)
+        # Conservation: one departure scheduled per arrival, and every
+        # arrival is admitted (edge or cloud) or cancelled.
         assert outcome.events_processed == 2 * outcome.arrivals
-        assert outcome.admitted_edge + outcome.admitted_cloud == outcome.arrivals
+        assert outcome.admissions + outcome.cancelled == outcome.arrivals
         assert 0.0 <= outcome.blocking_probability <= 1.0
-        assert outcome.total_admitted_profit >= 0.0
+        assert outcome.total_profit >= 0.0
         assert 0.0 <= outcome.mean_rrb_utilization <= 1.0
         assert sum(outcome.profit_by_sp.values()) >= 0.0
 
@@ -123,12 +124,12 @@ class TestOnlineProperties:
     @given(seed=st.integers(min_value=0, max_value=50))
     def test_deterministic_holding_conserves_population(self, seed):
         config = ScenarioConfig.paper()
-        online = OnlineConfig(
+        stream = StreamConfig(
             horizon_s=100.0,
             arrivals=PoissonArrivals(rate_per_s=2.0),
             holding=DeterministicHolding(duration_s=15.0),
         )
-        outcome = run_online(config, online, seed=seed)
+        outcome = run_stream(config, stream, seed=seed, readmit=False)
         # Every task admitted at t < 85 has departed by the last event,
         # so the final active count is at most the arrivals of the last
         # holding window.

@@ -1,6 +1,8 @@
 """Property tests: incremental re-matching equals from-scratch re-solve,
-and event processing stays deterministic and ledger-conserving under
-adversarial tapes — simultaneous timestamps, zero-length holdings.
+and event processing stays deterministic, kernel-independent and
+ledger-conserving under adversarial tapes — simultaneous timestamps,
+zero-length holdings — with and without cloud re-admission (``readmit``
+off is the loss model ``dmra online`` runs).
 """
 
 import os
@@ -12,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dynamics.arrivals import BatchArrivals, PoissonArrivals
-from repro.dynamics.online import OnlineConfig, run_online
 from repro.sim.config import ScenarioConfig
 from repro.stream import StreamConfig, run_stream
 
@@ -72,9 +73,12 @@ def debug_checks():
 def tapes(draw):
     return StreamConfig(
         horizon_s=draw(st.sampled_from([40.0, 80.0])),
-        arrivals=PoissonArrivals(
-            rate_per_s=draw(st.sampled_from([0.3, 0.8, 1.5]))
-        ),
+        arrivals=draw(st.sampled_from([
+            PoissonArrivals(rate_per_s=0.3),
+            PoissonArrivals(rate_per_s=0.8),
+            PoissonArrivals(rate_per_s=1.5),
+            BatchArrivals(interval_s=10.0, batch_size=5),
+        ])),
         holding=MixedHolding(
             duration_s=draw(st.sampled_from([5.0, 30.0, 90.0])),
             zero_fraction=draw(st.sampled_from([0.0, 0.3])),
@@ -85,11 +89,21 @@ def tapes(draw):
 
 class TestIncrementalEqualsRescratch:
     @settings(max_examples=20, deadline=None)
-    @given(stream=tapes(), seed=st.integers(min_value=0, max_value=2**16))
-    def test_random_tapes_bit_exact(self, stream, seed):
+    @given(
+        stream=tapes(),
+        seed=st.integers(min_value=0, max_value=2**16),
+        readmit=st.booleans(),
+    )
+    def test_random_tapes_bit_exact(self, stream, seed, readmit):
         with debug_checks():
-            inc = run_stream(SMALL, stream, seed=seed, mode="incremental")
-            res = run_stream(SMALL, stream, seed=seed, mode="rescratch")
+            inc = run_stream(
+                SMALL, stream, seed=seed, mode="incremental",
+                readmit=readmit,
+            )
+            res = run_stream(
+                SMALL, stream, seed=seed, mode="rescratch",
+                readmit=readmit,
+            )
         assert inc.digest == res.digest
         assert inc.admitted_edge == res.admitted_edge
         assert inc.admitted_cloud == res.admitted_cloud
@@ -98,8 +112,11 @@ class TestIncrementalEqualsRescratch:
         assert inc.total_profit == res.total_profit
 
     @settings(max_examples=10, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=2**16))
-    def test_simultaneous_timestamps(self, seed):
+    @given(
+        seed=st.integers(min_value=0, max_value=2**16),
+        readmit=st.booleans(),
+    )
+    def test_simultaneous_timestamps(self, seed, readmit):
         """Batch arrivals share exact timestamps; zero holdings put the
         matching departures on those same instants."""
         stream = StreamConfig(
@@ -108,8 +125,14 @@ class TestIncrementalEqualsRescratch:
             holding=MixedHolding(duration_s=10.0, zero_fraction=0.4),
         )
         with debug_checks():
-            inc = run_stream(SMALL, stream, seed=seed, mode="incremental")
-            res = run_stream(SMALL, stream, seed=seed, mode="rescratch")
+            inc = run_stream(
+                SMALL, stream, seed=seed, mode="incremental",
+                readmit=readmit,
+            )
+            res = run_stream(
+                SMALL, stream, seed=seed, mode="rescratch",
+                readmit=readmit,
+            )
         assert inc.digest == res.digest
         assert inc.cancelled == res.cancelled
 
@@ -118,80 +141,69 @@ class TestIncrementalEqualsRescratch:
         stream=tapes(),
         seed=st.integers(min_value=0, max_value=2**16),
         shards=st.sampled_from([2, 4]),
+        readmit=st.booleans(),
     )
-    def test_sharded_random_tapes(self, stream, seed, shards):
+    def test_sharded_random_tapes(self, stream, seed, shards, readmit):
         with debug_checks():
             inc = run_stream(
-                SMALL, stream, seed=seed, mode="incremental", shards=shards
+                SMALL, stream, seed=seed, mode="incremental", shards=shards,
+                readmit=readmit,
             )
             res = run_stream(
-                SMALL, stream, seed=seed, mode="rescratch", shards=shards
+                SMALL, stream, seed=seed, mode="rescratch", shards=shards,
+                readmit=readmit,
             )
         assert inc.digest == res.digest
 
 
 class TestStreamDeterminism:
     @settings(max_examples=10, deadline=None)
-    @given(stream=tapes(), seed=st.integers(min_value=0, max_value=2**16))
-    def test_replay_reproducible(self, stream, seed):
-        a = run_stream(SMALL, stream, seed=seed)
-        b = run_stream(SMALL, stream, seed=seed)
+    @given(
+        stream=tapes(),
+        seed=st.integers(min_value=0, max_value=2**16),
+        readmit=st.booleans(),
+    )
+    def test_replay_reproducible(self, stream, seed, readmit):
+        a = run_stream(SMALL, stream, seed=seed, readmit=readmit)
+        b = run_stream(SMALL, stream, seed=seed, readmit=readmit)
         assert a.digest == b.digest
         assert a.events_processed == b.events_processed
         assert a.edge_active.samples == b.edge_active.samples
 
+    @settings(max_examples=8, deadline=None)
+    @given(
+        stream=tapes(),
+        seed=st.integers(min_value=0, max_value=2**16),
+        readmit=st.booleans(),
+    )
+    def test_kernels_agree(self, stream, seed, readmit):
+        obj = run_stream(
+            SMALL, stream, seed=seed, kernel="object", readmit=readmit
+        )
+        soa = run_stream(
+            SMALL, stream, seed=seed, kernel="soa", readmit=readmit
+        )
+        assert obj.digest == soa.digest
+        assert obj.profit_by_sp == soa.profit_by_sp
+        assert obj.edge_active.samples == soa.edge_active.samples
+
     @settings(max_examples=10, deadline=None)
-    @given(stream=tapes(), seed=st.integers(min_value=0, max_value=2**16))
-    def test_occupancy_conserved(self, stream, seed):
-        outcome = run_stream(SMALL, stream, seed=seed)
+    @given(
+        stream=tapes(),
+        seed=st.integers(min_value=0, max_value=2**16),
+        readmit=st.booleans(),
+    )
+    def test_occupancy_conserved(self, stream, seed, readmit):
+        with debug_checks():
+            outcome = run_stream(SMALL, stream, seed=seed, readmit=readmit)
         assert outcome.arrivals == outcome.departures
+        # The stream's form of "every arrival lands on edge or cloud":
+        # a zero-holding arrival departs before its first re-match.
         assert outcome.admissions + outcome.cancelled == outcome.arrivals
         # Everyone departs by tape end, so state drains to zero.
         assert outcome.edge_active.last_value == 0.0
         assert outcome.cloud_active.last_value == 0.0
         assert outcome.rrb_utilization.last_value == 0.0
-
-
-class TestOnlineAdversarialTapes:
-    """The run_online event loop under the same adversarial schedules.
-
-    Ledger conservation is enforced *inside* the run on every event
-    (``DMRA_DEBUG_LEDGER=1`` forces the full scan), so surviving the
-    run is itself the conservation assertion.
-    """
-
-    @settings(max_examples=10, deadline=None)
-    @given(
-        seed=st.integers(min_value=0, max_value=2**16),
-        zero_fraction=st.sampled_from([0.0, 0.3, 1.0]),
-    )
-    def test_batch_arrivals_with_zero_holdings(self, seed, zero_fraction):
-        online = OnlineConfig(
-            horizon_s=50.0,
-            arrivals=BatchArrivals(interval_s=10.0, batch_size=5),
-            holding=MixedHolding(
-                duration_s=15.0, zero_fraction=zero_fraction
-            ),
-        )
-        with debug_checks():
-            a = run_online(SMALL, online, seed=seed)
-            b = run_online(SMALL, online, seed=seed)
-        assert a.events_processed == b.events_processed
-        assert a.total_admitted_profit == b.total_admitted_profit
-        assert a.edge_active.samples == b.edge_active.samples
-        assert a.events_processed == 2 * a.arrivals
-        assert a.edge_active.last_value == 0.0
-
-    @settings(max_examples=6, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=2**16))
-    def test_kernels_agree_on_adversarial_tapes(self, seed):
-        online = OnlineConfig(
-            horizon_s=40.0,
-            arrivals=BatchArrivals(interval_s=8.0, batch_size=6),
-            holding=MixedHolding(duration_s=12.0, zero_fraction=0.3),
-        )
-        obj = run_online(SMALL, online, seed=seed, kernel="object")
-        soa = run_online(SMALL, online, seed=seed, kernel="soa")
-        assert obj.admitted_edge == soa.admitted_edge
-        assert obj.admitted_cloud == soa.admitted_cloud
-        assert obj.profit_by_sp == soa.profit_by_sp
+        if not readmit:
+            # Only a move re-proposes a UE in the loss model.
+            assert outcome.readmitted <= outcome.displaced

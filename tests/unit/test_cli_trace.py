@@ -45,8 +45,8 @@ class TestTraceFlag:
         ]) == 0
         trace = read_trace(path)
         names = {span.name for span in trace.all_spans()}
-        assert "online.run" in names
-        assert trace.timers["online.batch"].count > 0
+        assert "stream.run" in names
+        assert trace.timers["stream.rematch"].count > 0
 
     def test_failures_trace_records_repair(self, tmp_path, capsys):
         path = tmp_path / "failures.jsonl"
@@ -154,7 +154,7 @@ class TestMetricsFlag:
             "--metrics", str(path),
         ]) == 0
         doc = read_metrics(path)
-        arrivals = doc.family("dmra_online_arrivals_total").sample()
+        arrivals = doc.family("dmra_stream_arrivals_total").sample()
         assert arrivals >= 0
 
 

@@ -11,8 +11,8 @@ from repro.obs import (
     MetricSample,
     MetricsDocument,
     Recorder,
-    metrics_from_online,
     metrics_from_outcome,
+    metrics_from_stream,
     metrics_from_trace,
     metrics_json,
     parse_metrics,
@@ -187,22 +187,22 @@ class TestFromOutcome:
 
 class TestFromOnline:
     def test_totals_and_occupancy(self):
-        from repro.dynamics import OnlineConfig, run_online
+        from repro.stream import StreamConfig, run_stream
 
-        outcome = run_online(
-            CONFIG, OnlineConfig(horizon_s=120.0), seed=2
+        outcome = run_stream(
+            CONFIG, StreamConfig(horizon_s=120.0), seed=2, readmit=False
         )
-        document = metrics_from_online(outcome)
-        arrivals = document.family("dmra_online_arrivals_total").sample()
+        document = metrics_from_stream(outcome)
+        arrivals = document.family("dmra_stream_arrivals_total").sample()
         assert arrivals == outcome.arrivals
-        edge = document.family("dmra_online_admitted_edge_total").sample()
-        cloud = document.family("dmra_online_admitted_cloud_total").sample()
+        edge = document.family("dmra_stream_admitted_edge_total").sample()
+        cloud = document.family("dmra_stream_admitted_cloud_total").sample()
         assert edge + cloud == arrivals
-        per_sp = document.family("dmra_online_sp_profit")
+        per_sp = document.family("dmra_stream_sp_profit")
         assert sum(s.value for s in per_sp.samples) == pytest.approx(
             sum(outcome.profit_by_sp.values())
         )
-        occupancy = document.family("dmra_online_edge_active")
+        occupancy = document.family("dmra_stream_edge_active")
         assert occupancy.sample(stat="peak") >= occupancy.sample(stat="mean")
 
 
@@ -212,8 +212,8 @@ class TestFromTrace:
         with telemetry_session(recorder):
             tel = recorder
             tel.count("match.accepted", 5)
-            tel.count("online.sp_profit.1", 10.0)
-            tel.count("online.sp_profit.2", 4.0)
+            tel.count("stream.sp_profit.1", 10.0)
+            tel.count("stream.sp_profit.2", 4.0)
             tel.gauge("match.rounds", 7)
             with tel.span("match") as match_span:
                 match_span.set(rounds=7)
@@ -229,7 +229,7 @@ class TestFromTrace:
 
     def test_entity_suffixed_counters_fold_into_labels(self):
         document = metrics_from_trace(self.recorded_trace())
-        family = document.family("dmra_online_sp_profit_total")
+        family = document.family("dmra_stream_sp_profit_total")
         assert family.sample(sp=1) == 10.0
         assert family.sample(sp=2) == 4.0
 

@@ -1,4 +1,9 @@
-"""Unit tests for the online (event-driven) simulation."""
+"""Unit tests for the online loss model: ``run_stream(..., readmit=False)``.
+
+A task the edge cannot absorb on arrival goes to the cloud and stays
+there until it departs — the model ``dmra online``, the ext-blocking
+sweep and the Erlang-B checks rely on.
+"""
 
 import pytest
 
@@ -8,55 +13,95 @@ from repro.dynamics.arrivals import (
     ExponentialHolding,
     PoissonArrivals,
 )
-from repro.dynamics.online import OnlineConfig, run_online
 from repro.errors import ConfigurationError
 from repro.sim.config import ScenarioConfig
+from repro.stream import StreamConfig, run_stream
 
 CONFIG = ScenarioConfig.paper()
 
+MICRO = ScenarioConfig(
+    sp_count=1,
+    bs_per_sp=1,
+    service_count=1,
+    region_side_m=200.0,
+    cru_capacity_min=20,
+    cru_capacity_max=20,
+    cru_demand_min=5,
+    cru_demand_max=5,
+    rate_demand_min_bps=1e5,
+    rate_demand_max_bps=1e5,
+)
+
 
 def light_load(horizon=200.0):
-    return OnlineConfig(
+    return StreamConfig(
         horizon_s=horizon,
         arrivals=PoissonArrivals(rate_per_s=0.5),
         holding=ExponentialHolding(mean_s=60.0),
     )
 
 
+def micro_engine(readmit=False):
+    """MICRO's single BS fits 4 tasks; stage 6, so 2 go to the cloud."""
+    from repro.core.dmra import DMRAPolicy
+    from repro.scale.streaming import build_scenario_frame
+    from repro.stream import IncrementalShardEngine
+
+    frame = build_scenario_frame(MICRO, ue_count=6, seed=1)
+    engine = IncrementalShardEngine(
+        shard_id=0,
+        providers=frame.providers,
+        base_stations=frame.base_stations,
+        services=frame.services,
+        region=frame.region,
+        coverage_radius_m=MICRO.coverage_radius_m,
+        budget=MICRO.link_budget(),
+        rate_model=MICRO.rate_model_fn(),
+        pricing=frame.pricing,
+        policy=DMRAPolicy(pricing=frame.pricing, rho=MICRO.rho),
+        readmit=readmit,
+    )
+    for ue in next(frame.iter_ue_chunks()):
+        engine.stage(ue)
+    engine.flush(0.0)
+    assert engine.edge_active == 4 and engine.cloud_active == 2
+    return engine
+
+
 class TestOnlineBasics:
     def test_light_load_serves_everything(self):
-        outcome = run_online(CONFIG, light_load(), seed=1)
+        outcome = run_stream(CONFIG, light_load(), seed=1, readmit=False)
         assert outcome.admitted_cloud == 0
         assert outcome.blocking_probability == 0.0
         assert outcome.admitted_edge == outcome.arrivals
-        assert outcome.total_admitted_profit > 0
+        assert outcome.total_profit > 0
 
     def test_event_conservation(self):
         """Every arrival is matched by exactly one departure event."""
-        outcome = run_online(CONFIG, light_load(), seed=2)
+        outcome = run_stream(CONFIG, light_load(), seed=2, readmit=False)
         assert outcome.events_processed == 2 * outcome.arrivals
 
     def test_seed_determinism(self):
-        a = run_online(CONFIG, light_load(), seed=3)
-        b = run_online(CONFIG, light_load(), seed=3)
-        assert a.total_admitted_profit == b.total_admitted_profit
+        a = run_stream(CONFIG, light_load(), seed=3, readmit=False)
+        b = run_stream(CONFIG, light_load(), seed=3, readmit=False)
+        assert a.total_profit == b.total_profit
         assert a.edge_active.samples == b.edge_active.samples
 
     def test_different_seeds_differ(self):
-        a = run_online(CONFIG, light_load(), seed=3)
-        b = run_online(CONFIG, light_load(), seed=4)
+        a = run_stream(CONFIG, light_load(), seed=3, readmit=False)
+        b = run_stream(CONFIG, light_load(), seed=4, readmit=False)
         assert a.arrivals != b.arrivals or (
-            a.total_admitted_profit != b.total_admitted_profit
+            a.total_profit != b.total_profit
         )
 
     def test_profit_by_sp_sums_to_total(self):
-        outcome = run_online(CONFIG, light_load(), seed=5)
+        outcome = run_stream(CONFIG, light_load(), seed=5, readmit=False)
         assert sum(outcome.profit_by_sp.values()) == pytest.approx(
-            outcome.total_admitted_profit
+            outcome.total_profit
         )
 
     def test_series_well_formed(self):
-        outcome = run_online(CONFIG, light_load(), seed=1)
+        outcome = run_stream(CONFIG, light_load(), seed=1, readmit=False)
         assert outcome.edge_active.samples[0] == (0.0, 0.0)
         assert 0.0 <= outcome.mean_rrb_utilization <= 1.0
         assert outcome.mean_edge_active >= 0.0
@@ -64,47 +109,49 @@ class TestOnlineBasics:
 
 class TestOnlineLoadRegimes:
     def test_overload_produces_blocking(self):
-        heavy = OnlineConfig(
+        heavy = StreamConfig(
             horizon_s=300.0,
             arrivals=PoissonArrivals(rate_per_s=10.0),
             holding=ExponentialHolding(mean_s=300.0),
         )
-        outcome = run_online(CONFIG, heavy, seed=1)
+        outcome = run_stream(CONFIG, heavy, seed=1, readmit=False)
         assert outcome.blocking_probability > 0.1
         assert outcome.rrb_utilization.peak > 0.8
 
     def test_blocking_increases_with_offered_load(self):
         def blocking(rate):
-            online = OnlineConfig(
+            stream = StreamConfig(
                 horizon_s=300.0,
                 arrivals=PoissonArrivals(rate_per_s=rate),
                 holding=ExponentialHolding(mean_s=200.0),
             )
-            return run_online(CONFIG, online, seed=7).blocking_probability
+            return run_stream(
+                CONFIG, stream, seed=7, readmit=False
+            ).blocking_probability
 
         assert blocking(12.0) > blocking(4.0)
 
     def test_resources_recycle_after_departures(self):
         """With short holding times, a long run at moderate rate never
         blocks: departures keep freeing capacity."""
-        online = OnlineConfig(
+        stream = StreamConfig(
             horizon_s=400.0,
             arrivals=PoissonArrivals(rate_per_s=3.0),
             holding=DeterministicHolding(duration_s=10.0),
         )
-        outcome = run_online(CONFIG, online, seed=2)
+        outcome = run_stream(CONFIG, stream, seed=2, readmit=False)
         assert outcome.blocking_probability == 0.0
         # Occupancy stabilizes near rate * holding = 30, far below peak
         # capacity, rather than accumulating.
         assert outcome.edge_active.peak < 80
 
     def test_batch_arrivals_supported(self):
-        online = OnlineConfig(
+        stream = StreamConfig(
             horizon_s=100.0,
             arrivals=BatchArrivals(interval_s=20.0, batch_size=15),
             holding=DeterministicHolding(duration_s=30.0),
         )
-        outcome = run_online(CONFIG, online, seed=1)
+        outcome = run_stream(CONFIG, stream, seed=1, readmit=False)
         assert outcome.arrivals == 4 * 15
         assert outcome.admitted_edge > 0
 
@@ -112,82 +159,94 @@ class TestOnlineLoadRegimes:
 class TestOnlineValidation:
     def test_invalid_horizon_rejected(self):
         with pytest.raises(ConfigurationError):
-            OnlineConfig(horizon_s=0.0)
+            StreamConfig(horizon_s=0.0)
 
     def test_final_ledger_state_consistent(self):
         """Active edge count at the end matches edge admissions minus
         departures (implicitly checked via event conservation and the
         series' last value being >= 0)."""
-        outcome = run_online(CONFIG, light_load(), seed=9)
+        outcome = run_stream(CONFIG, light_load(), seed=9, readmit=False)
         assert outcome.edge_active.last_value >= 0
         assert outcome.cloud_active.last_value >= 0
 
 
 class TestDepartureAccounting:
-    """The departure path must surface ledger drift, not absorb it."""
+    """The stream engine's departure path must surface ledger drift,
+    not absorb it."""
 
-    @staticmethod
-    def _edge_state():
+    def test_unknown_ue_departure_raises(self):
+        from repro.errors import AllocationError
+
+        with pytest.raises(AllocationError, match="not active"):
+            micro_engine().depart(7)
+
+    def test_edge_release_drift_raises(self):
+        # The ledger frees a different RRB count than the engine
+        # recorded for the grant: raise instead of absorbing it.
+        from repro.errors import AllocationError
+
+        engine = micro_engine()
+        ue_id, _bs_id, rrbs = next(iter(engine.grant_items()))
+        engine._edge_rrbs[ue_id] = rrbs + 1
+        with pytest.raises(AllocationError, match="ledger drift"):
+            engine.depart(ue_id)
+
+    def test_edge_departure_returns_freed_rrbs(self):
+        engine = micro_engine()
+        ue_id, _bs_id, rrbs = next(iter(engine.grant_items()))
+        used = engine.used_rrbs
+        engine.depart(ue_id)
+        assert engine.used_rrbs == used - rrbs
+        assert engine.edge_active == 3
+
+    def test_cloud_departure_frees_nothing(self):
+        engine = micro_engine()
+        used = engine.used_rrbs
+        engine.depart(min(engine.cloud_ids))
+        assert engine.used_rrbs == used
+        assert engine.cloud_active == 1
+
+    def test_ledger_conservation_check(self):
         from repro.compute.cru import LedgerPool
+        from repro.errors import AllocationError
         from repro.sim.scenario import build_scenario
+        from repro.stream.engine import _check_ledger_conservation
 
         scenario = build_scenario(CONFIG, 1, seed=1)
         ledgers = LedgerPool(scenario.network.base_stations)
         ue = scenario.network.user_equipment(0)
         bs_id = scenario.network.base_stations[0].bs_id
         ledgers.ledger(bs_id).grant(0, ue.service_id, ue.cru_demand, 3)
-        return ledgers, bs_id
-
-    def test_unknown_ue_departure_raises(self):
-        from repro.compute.cru import LedgerPool
-        from repro.dynamics.online import _process_departure
-        from repro.errors import AllocationError
-
-        with pytest.raises(AllocationError, match="neither"):
-            _process_departure(7, LedgerPool([]), set(), set(), {}, {})
-
-    def test_edge_departure_without_rrb_record_raises(self):
-        # Regression: this used to be silently absorbed via
-        # rrbs_of_ue.pop(ue_id, 0), masking the drift.
-        from repro.dynamics.online import _process_departure
-        from repro.errors import AllocationError
-
-        ledgers, bs_id = self._edge_state()
-        with pytest.raises(AllocationError, match="no recorded RRB"):
-            _process_departure(0, ledgers, {0}, set(), {0: bs_id}, {})
-
-    def test_edge_departure_returns_freed_rrbs(self):
-        from repro.dynamics.online import _process_departure
-
-        ledgers, bs_id = self._edge_state()
-        active_edge, serving = {0}, {0: bs_id}
-        freed = _process_departure(
-            0, ledgers, active_edge, set(), serving, {0: 3}
-        )
-        assert freed == 3
-        assert not active_edge and not serving
-
-    def test_cloud_departure_frees_nothing(self):
-        from repro.compute.cru import LedgerPool
-        from repro.dynamics.online import _process_departure
-
-        active_cloud = {4}
-        assert _process_departure(
-            4, LedgerPool([]), set(), active_cloud, {}, {}
-        ) == 0
-        assert not active_cloud
-
-    def test_ledger_conservation_check(self):
-        from repro.dynamics.online import _check_ledger_conservation
-        from repro.errors import AllocationError
-
-        ledgers, _ = self._edge_state()
         total = sum(
             bs_ledger.remaining_rrbs for bs_ledger in ledgers
         ) + 3  # 3 RRBs are granted out
         _check_ledger_conservation(ledgers, total, used_rrbs=3)
         with pytest.raises(AllocationError, match="conservation"):
             _check_ledger_conservation(ledgers, total, used_rrbs=0)
+
+
+class TestLossModel:
+    """``readmit=False`` never re-proposes a cloud UE."""
+
+    def test_cloud_ues_are_not_indexed(self):
+        engine = micro_engine(readmit=False)
+        assert engine.blocked_index_size == 0
+        ue_id, _bs_id, _rrbs = next(iter(engine.grant_items()))
+        engine.depart(ue_id)
+        assert not engine.dirty_ids
+        engine.flush(1.0)
+        assert engine.edge_active == 3 and engine.cloud_active == 2
+        assert engine.readmitted == 0
+
+    def test_readmission_refills_freed_slot(self):
+        engine = micro_engine(readmit=True)
+        assert engine.blocked_index_size == 2
+        ue_id, _bs_id, _rrbs = next(iter(engine.grant_items()))
+        engine.depart(ue_id)
+        assert engine.dirty_ids == engine.cloud_ids
+        engine.flush(1.0)
+        assert engine.edge_active == 4 and engine.cloud_active == 1
+        assert engine.readmitted == 1
 
 
 class TestLedgerMonitor:
@@ -206,7 +265,7 @@ class TestLedgerMonitor:
         return scenario, ledgers, total
 
     def test_o1_drift_detected(self):
-        from repro.dynamics.online import LedgerMonitor
+        from repro.stream.engine import LedgerMonitor
         from repro.errors import AllocationError
 
         _, ledgers, total = self._pool()
@@ -219,7 +278,7 @@ class TestLedgerMonitor:
     def test_full_scan_catches_untracked_grant(self):
         """Drift invisible to the O(1) counter — a grant made behind the
         monitor's back — is still caught by the full ledger scan."""
-        from repro.dynamics.online import LedgerMonitor
+        from repro.stream.engine import LedgerMonitor
         from repro.errors import AllocationError
 
         scenario, ledgers, total = self._pool()
@@ -233,7 +292,7 @@ class TestLedgerMonitor:
             monitor.check(0, force=True)
 
     def test_debug_env_forces_scan_every_check(self, monkeypatch):
-        from repro.dynamics.online import LedgerMonitor
+        from repro.stream.engine import LedgerMonitor
         from repro.errors import AllocationError
 
         scenario, ledgers, total = self._pool()
@@ -247,7 +306,7 @@ class TestLedgerMonitor:
             monitor.check(0)
 
     def test_cadence_triggers_scan(self):
-        from repro.dynamics.online import LedgerMonitor
+        from repro.stream.engine import LedgerMonitor
         from repro.errors import AllocationError
 
         scenario, ledgers, total = self._pool()
@@ -261,7 +320,7 @@ class TestLedgerMonitor:
             monitor.check(0)  # third check hits the cadence
 
     def test_seeds_from_existing_grants(self):
-        from repro.dynamics.online import LedgerMonitor
+        from repro.stream.engine import LedgerMonitor
 
         scenario, ledgers, total = self._pool()
         ue = scenario.network.user_equipment(0)
@@ -271,7 +330,7 @@ class TestLedgerMonitor:
         monitor.check(3, force=True)  # in-flight seeded from the pool
 
     def test_invalid_cadence_rejected(self):
-        from repro.dynamics.online import LedgerMonitor
+        from repro.stream.engine import LedgerMonitor
 
         _, ledgers, total = self._pool()
         with pytest.raises(ConfigurationError, match="cadence"):
@@ -280,30 +339,22 @@ class TestLedgerMonitor:
 
 class TestOnlineKernels:
     def test_kernel_parity(self):
-        obj = run_online(CONFIG, light_load(), seed=6, kernel="object")
-        soa = run_online(CONFIG, light_load(), seed=6, kernel="soa")
+        obj = run_stream(
+            CONFIG, light_load(), seed=6, readmit=False, kernel="object"
+        )
+        soa = run_stream(
+            CONFIG, light_load(), seed=6, readmit=False, kernel="soa"
+        )
         assert obj.admitted_edge == soa.admitted_edge
         assert obj.admitted_cloud == soa.admitted_cloud
-        assert obj.total_admitted_profit == soa.total_admitted_profit
+        assert obj.total_profit == soa.total_profit
         assert obj.profit_by_sp == soa.profit_by_sp
 
     def test_unknown_kernel_rejected(self):
         with pytest.raises(ConfigurationError):
-            run_online(CONFIG, light_load(), seed=1, kernel="simd")
-
-
-MICRO = ScenarioConfig(
-    sp_count=1,
-    bs_per_sp=1,
-    service_count=1,
-    region_side_m=200.0,
-    cru_capacity_min=20,
-    cru_capacity_max=20,
-    cru_demand_min=5,
-    cru_demand_max=5,
-    rate_demand_min_bps=1e5,
-    rate_demand_max_bps=1e5,
-)
+            run_stream(
+                CONFIG, light_load(), seed=1, readmit=False, kernel="simd"
+            )
 
 
 class TestBlockingAgainstErlangB:
@@ -315,12 +366,12 @@ class TestBlockingAgainstErlangB:
     """
 
     def test_slots_saturate_deterministically(self):
-        online = OnlineConfig(
+        stream = StreamConfig(
             horizon_s=40.0,
             arrivals=PoissonArrivals(rate_per_s=0.5),
             holding=DeterministicHolding(duration_s=1000.0),
         )
-        outcome = run_online(MICRO, online, seed=1)
+        outcome = run_stream(MICRO, stream, seed=1, readmit=False)
         assert outcome.arrivals >= 4
         # Nobody departs within the horizon, so exactly the first c = 4
         # tasks fit and every later arrival is blocked.
@@ -333,15 +384,47 @@ class TestBlockingAgainstErlangB:
     def test_blocking_matches_erlang_b(self):
         from repro.dynamics.erlang import erlang_b_blocking
 
-        online = OnlineConfig(
+        stream = StreamConfig(
             horizon_s=4000.0,
             arrivals=PoissonArrivals(rate_per_s=0.5),
             holding=ExponentialHolding(mean_s=4.0),
         )
-        outcome = run_online(MICRO, online, seed=2)
+        outcome = run_stream(MICRO, stream, seed=2, readmit=False)
         expected = erlang_b_blocking(servers=4, offered_erlangs=2.0)
         assert expected == pytest.approx(0.0952, abs=1e-3)
         assert outcome.arrivals > 1000
         assert outcome.blocking_probability == pytest.approx(
             expected, abs=0.04
         )
+
+
+class TestLossModelPinned:
+    """The loss model's outcome on two tapes, pinned bit for bit.
+
+    The numbers are those of the dedicated loss-model event loop this
+    replay replaced (arrivals matched on arrival, cloud tasks never
+    re-admitted); the stream engine with ``readmit=False`` must keep
+    reproducing them exactly, profit ``repr`` included.
+    """
+
+    def test_micro_erlang_tape(self):
+        stream = StreamConfig(
+            horizon_s=4000.0,
+            arrivals=PoissonArrivals(rate_per_s=0.5),
+            holding=ExponentialHolding(mean_s=4.0),
+        )
+        outcome = run_stream(MICRO, stream, seed=2, readmit=False)
+        assert outcome.admitted_edge == 1837
+        assert outcome.admitted_cloud == 211
+        assert repr(outcome.total_profit) == "70958.00124999952"
+
+    def test_overload_tape(self):
+        stream = StreamConfig(
+            horizon_s=300.0,
+            arrivals=PoissonArrivals(rate_per_s=10.0),
+            holding=ExponentialHolding(mean_s=300.0),
+        )
+        outcome = run_stream(CONFIG, stream, seed=1, readmit=False)
+        assert outcome.admitted_edge == 1818
+        assert outcome.admitted_cloud == 1221
+        assert repr(outcome.total_profit) == "41537.417039178814"

@@ -42,18 +42,20 @@ class TestArrivalTrace:
             )
 
     def test_usable_in_online_config(self):
-        from repro.dynamics import DeterministicHolding, OnlineConfig, run_online
+        from repro.dynamics import DeterministicHolding
         from repro.sim.config import ScenarioConfig
+        from repro.stream import StreamConfig, run_stream
 
         trace = ArrivalTrace(times_s=tuple(float(t) for t in range(1, 31)))
-        outcome = run_online(
+        outcome = run_stream(
             ScenarioConfig.paper(),
-            OnlineConfig(
+            StreamConfig(
                 horizon_s=60.0,
                 arrivals=trace,
                 holding=DeterministicHolding(duration_s=5.0),
             ),
             seed=1,
+            readmit=False,
         )
         assert outcome.arrivals == 30
         assert outcome.blocking_probability == 0.0

@@ -161,12 +161,8 @@ class TestErlangValidation:
         """The flexible simulator should never block *more* than the
         rigid M/M/c/c approximation at the same offered load, and both
         must agree that sub-capacity load sees ~zero blocking."""
-        from repro.dynamics import (
-            ExponentialHolding,
-            OnlineConfig,
-            PoissonArrivals,
-            run_online,
-        )
+        from repro.dynamics import ExponentialHolding, PoissonArrivals
+        from repro.stream import StreamConfig, run_stream
 
         config = ScenarioConfig.paper()
         scenario = build_scenario(config, 600, 1)
@@ -174,14 +170,15 @@ class TestErlangValidation:
         holding_s = 150.0
         for rate, overloaded in ((3.0, False), (10.0, True)):
             analytic = erlang_b_blocking(servers, rate * holding_s)
-            outcome = run_online(
+            outcome = run_stream(
                 config,
-                OnlineConfig(
+                StreamConfig(
                     horizon_s=300.0,
                     arrivals=PoissonArrivals(rate_per_s=rate),
                     holding=ExponentialHolding(mean_s=holding_s),
                 ),
                 seed=2,
+                readmit=False,
             )
             assert outcome.blocking_probability <= analytic + 0.02
             if not overloaded:
